@@ -67,16 +67,18 @@ _EstimateEntry = Tuple[ModelSpec, Optional["FillExecutionEstimate"]]
 _PINNED_EFFICIENCY: Dict[int, EfficiencyModel] = {}
 _SHARED_ESTIMATES: Dict[tuple, Dict[Tuple[int, JobType], "_EstimateEntry"]] = {}
 _SHARED_ISOLATED: Dict[tuple, Dict[Tuple[int, JobType], Tuple[ModelSpec, float]]] = {}
-_SHARED_PROFILES: Dict[tuple, Dict[tuple, ModelProfile]] = {}
+_SHARED_PROFILES: Dict[tuple, Dict[tuple, Tuple[ModelSpec, ModelProfile]]] = {}
 
 #: Crude growth bounds: when this many distinct (cycle, device, config,
 #: efficiency) namespaces accumulate (a long-lived process iterating many
 #: systems in one process), the shared maps are flushed wholesale; and a
 #: single namespace fed distinct spec objects (a non-memoizing model
-#: resolver) is cleared once it holds this many entries.  Executors
-#: constructed earlier keep their (now orphaned) namespace dicts and stay
-#: correct; only future sharing restarts cold.
-_MAX_SHARED_NAMESPACES = 128
+#: resolver) is cleared once it holds this many entries.  Sized to hold
+#: every namespace of one full paper reproduction (275), so later figures
+#: reuse the plan searches of earlier ones.  Executors constructed earlier
+#: keep their (now orphaned) namespace dicts and stay correct; only future
+#: sharing restarts cold.
+_MAX_SHARED_NAMESPACES = 512
 _MAX_NAMESPACE_ENTRIES = 4096
 
 
@@ -225,8 +227,13 @@ class FillJobExecutor:
         self._isolated_cache: Dict[Tuple[int, JobType], Tuple[ModelSpec, float]] = (
             _SHARED_ISOLATED.setdefault(device_key, {})
         )
-        self._profile_cache: Dict[tuple, ModelProfile] = _SHARED_PROFILES.setdefault(
-            device_key, {}
+        self._profile_cache: Dict[tuple, Tuple[ModelSpec, ModelProfile]] = (
+            _SHARED_PROFILES.setdefault(device_key, {})
+        )
+        #: Free memory (after the safety margin) available in the tightest
+        #: bubble; fixed for the executor's lifetime like the cycle itself.
+        self.usable_memory_bytes: float = self.config.usable_bubble_memory(
+            cycle.min_free_memory_bytes
         )
         # Content hash of this executor's estimate namespace for the
         # persistent cross-process plan cache (computed lazily: hashing
@@ -244,13 +251,6 @@ class FillJobExecutor:
                 )
             )
         return (self._disk_namespace, plancache.content_key(model), job_type.value)
-
-    # -- memory ---------------------------------------------------------------
-
-    @property
-    def usable_memory_bytes(self) -> float:
-        """Free memory (after the safety margin) available in the tightest bubble."""
-        return self.config.usable_bubble_memory(self.cycle.min_free_memory_bytes)
 
     # -- estimation ------------------------------------------------------------
 
@@ -286,16 +286,21 @@ class FillJobExecutor:
         """Memoised :func:`profile_model` (profiles do not depend on the cycle)."""
         if not use_cache:
             return profile_model(model, job_type, exec_config, self.device, self.efficiency)
-        key = (model, job_type, exec_config)
-        profile = self._profile_cache.get(key)
-        if profile is None:
-            profile = profile_model(
-                model, job_type, exec_config, self.device, self.efficiency
+        # repro: lint-ignore[hash-id] -- identity-memo cache key (hashing the
+        # spec's layers on every lookup was the cost); the entry pins the
+        # spec and the key is never ordered or serialized.
+        key = (id(model), job_type, exec_config)
+        entry = self._profile_cache.get(key)
+        # Entries pin their spec, so a hit is always the same object.
+        if entry is None or entry[0] is not model:
+            entry = (
+                model,
+                profile_model(model, job_type, exec_config, self.device, self.efficiency),
             )
             if len(self._profile_cache) >= _MAX_NAMESPACE_ENTRIES:
                 self._profile_cache.clear()
-            self._profile_cache[key] = profile
-        return profile
+            self._profile_cache[key] = entry
+        return entry[1]
 
     def _evaluate_config(
         self,
@@ -310,7 +315,7 @@ class FillJobExecutor:
             return None
         try:
             if use_cache:
-                # The vectorized Algorithm-1 fast path: identical plan, node
+                # The scalar Algorithm-1 fast path: identical plan, node
                 # tuples materialized lazily.  The brute-force reference mode
                 # keeps the scalar planner, so the differential oracles and
                 # golden digests prove the two packers bit-identical.
@@ -323,7 +328,7 @@ class FillJobExecutor:
         num_cycles = max(plan.num_cycles, 1)
         effective_work = 0.0
         used_bubble = 0.0
-        bubble_durations = {i: b.duration for i, b in enumerate(plan.bubbles)}
+        bubble_durations = [b.duration for b in plan.bubbles]
         if isinstance(plan, PackedPlan):
             # Same accumulation order as the partition loop below, fed from
             # the packed per-visit durations instead of materialized nodes.

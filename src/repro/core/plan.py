@@ -19,10 +19,10 @@ the scheduler.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.config import PipeFillConfig
 from repro.models.base import ComputationalGraph, GraphNode
@@ -47,8 +47,16 @@ class GraphPartition:
 
     @property
     def duration(self) -> float:
-        """Planned execution time of the partition (sum of node durations)."""
-        return sum(node.duration for node in self.nodes)
+        """Planned execution time of the partition (sum of node durations).
+
+        An explicit left-to-right fold, not ``sum()``: from Python 3.12
+        ``sum()`` of floats uses compensated summation, which would no
+        longer equal the packer's running total over the same nodes.
+        """
+        total = 0.0
+        for node in self.nodes:
+            total += node.duration
+        return total
 
     @property
     def memory_bytes(self) -> float:
@@ -155,6 +163,54 @@ def _replication_count(
     return count
 
 
+def _prepare(
+    graph: ComputationalGraph, cycle: BubbleCycle, config: PipeFillConfig
+) -> Tuple[Tuple[Bubble, ...], List[float], List[float], int]:
+    """Algorithm 1's set-up, shared by both packers.
+
+    Returns the fillable bubbles, their usable durations and memory, and
+    the replication count; raises :class:`PlanError` when the cycle has no
+    fillable bubble or some node fits no bubble (first offender reported).
+    """
+    bubbles = tuple(
+        b
+        for b in cycle.fillable_bubbles
+        if config.usable_bubble_seconds(b.duration) > 0.0
+    )
+    if not bubbles:
+        raise PlanError(
+            f"bubble cycle of stage {cycle.stage_id} has no fillable bubbles "
+            f"longer than {config.min_fill_bubble_seconds}s"
+        )
+
+    usable_durations = [config.usable_bubble_seconds(b.duration) for b in bubbles]
+    usable_memory = [config.usable_bubble_memory(b.free_memory_bytes) for b in bubbles]
+
+    # Feasibility: every node must fit in at least one bubble.  A bubble
+    # that takes both the longest node and the peak memory takes them all,
+    # so the per-node scan only runs when no such bubble exists.
+    longest = max(graph.node_durations)
+    peak = graph.peak_memory_bytes
+    if not any(
+        longest <= cap and peak <= mem
+        for cap, mem in zip(usable_durations, usable_memory)
+    ):
+        for node in graph.nodes:
+            fits = any(
+                node.duration <= usable_durations[i] and node.memory_bytes <= usable_memory[i]
+                for i in range(len(bubbles))
+            )
+            if not fits:
+                raise PlanError(
+                    f"graph node {node.name!r} (duration {node.duration:.4f}s, "
+                    f"memory {node.memory_bytes:.3e} B) does not fit in any bubble of "
+                    f"stage {cycle.stage_id}'s cycle"
+                )
+
+    iterations = _replication_count(graph.total_duration, sum(usable_durations))
+    return bubbles, usable_durations, usable_memory, iterations
+
+
 def plan_fill_job(
     graph: ComputationalGraph,
     cycle: BubbleCycle,
@@ -182,36 +238,9 @@ def plan_fill_job(
         If some node can never be placed (too large for every bubble's
         usable duration or memory), or the cycle has no fillable bubbles.
     """
-    config = config or PipeFillConfig()
-    bubbles = tuple(
-        b
-        for b in cycle.fillable_bubbles
-        if config.usable_bubble_seconds(b.duration) > 0.0
+    bubbles, usable_durations, usable_memory, iterations = _prepare(
+        graph, cycle, config or PipeFillConfig()
     )
-    if not bubbles:
-        raise PlanError(
-            f"bubble cycle of stage {cycle.stage_id} has no fillable bubbles "
-            f"longer than {config.min_fill_bubble_seconds}s"
-        )
-
-    usable_durations = [config.usable_bubble_seconds(b.duration) for b in bubbles]
-    usable_memory = [config.usable_bubble_memory(b.free_memory_bytes) for b in bubbles]
-    total_usable = sum(usable_durations)
-
-    # Feasibility: every node must fit in at least one bubble.
-    for node in graph.nodes:
-        fits = any(
-            node.duration <= usable_durations[i] and node.memory_bytes <= usable_memory[i]
-            for i in range(len(bubbles))
-        )
-        if not fits:
-            raise PlanError(
-                f"graph node {node.name!r} (duration {node.duration:.4f}s, "
-                f"memory {node.memory_bytes:.3e} B) does not fit in any bubble of "
-                f"stage {cycle.stage_id}'s cycle"
-            )
-
-    iterations = _replication_count(graph.total_duration, total_usable)
     replicated = ComputationalGraph.concatenate([graph] * iterations)
 
     partitions: List[GraphPartition] = []
@@ -265,21 +294,27 @@ def plan_fill_job(
     )
 
 
-# -- vectorized fast path -----------------------------------------------------------
+# -- scalar fast path ----------------------------------------------------------------
 #
 # plan_fill_job above is the reference implementation: it materializes the
 # replicated graph (every node cloned and renamed per iteration) and packs it
 # node by node.  For large plans that materialization dominates the cold-start
 # cost of a simulation -- hundreds of thousands of GraphNode clones whose only
 # purpose is to be summed into per-bubble durations.  pack_fill_job below runs
-# the *same* Algorithm-1 loop over flat numpy duration/memory arrays instead:
+# the *same* Algorithm-1 loop over the base graph's duration and memory
+# tuples instead, with no node objects and no per-node Python loop:
 #
-# * The per-bubble inner loop becomes a windowed ``np.cumsum`` + first-violation
-#   scan.  ``np.cumsum`` accumulates strictly left-to-right, so ``c[j]`` is
-#   bit-for-bit the scalar loop's ``packed_duration + nodes[j].duration`` at
-#   step ``j`` (the scalar loop resets its accumulator to 0.0 per bubble visit,
-#   and so does each window), and the packed partition duration ``c[L-1]``
-#   equals ``GraphPartition.duration``'s fresh ``sum()`` over the same nodes.
+# * Durations: each bubble visit runs ``itertools.accumulate`` (seeded with
+#   0.0) over a window of the replicated durations, which is bit-for-bit the
+#   scalar loop's ``packed_duration`` after each node, and ``bisect_right``
+#   finds the first running total over the bubble's capacity.  Bisection is
+#   exact because node durations are validated non-negative, so the running
+#   totals never decrease.  The window spans ``int(capacity / dur(F)) + 2``
+#   replicas, which in exact arithmetic overflows the capacity; it is widened
+#   in case float rounding lets it all fit.
+# * Memory: per bubble, the sorted base-graph offsets whose memory exceeds
+#   that bubble's cap; ``bisect_left`` finds the first violation from any
+#   position in the (periodic) replicated sequence.
 # * Nodes are never cloned: the result is a :class:`PackedPlan` that records
 #   only per-visit (node count, packed duration) and materializes real
 #   ``GraphPartition`` tuples -- with the exact ``iter{i}/{name}`` clone names
@@ -287,7 +322,8 @@ def plan_fill_job(
 #
 # ``use_cache=False`` simulations keep calling plan_fill_job, so the
 # brute-force differential oracles and the golden-digest suite prove the two
-# paths bit-identical end-to-end.
+# paths bit-identical end-to-end; tests/test_core_plan.py also compares the
+# two packers directly.
 
 
 class PackedPlan:
@@ -319,8 +355,8 @@ class PackedPlan:
         bubbles: Tuple[Bubble, ...],
         iterations: int,
         cycle_period: float,
-        visit_counts: np.ndarray,
-        visit_durations: np.ndarray,
+        visit_counts: Tuple[int, ...],
+        visit_durations: Tuple[float, ...],
     ) -> None:
         self.bubbles = bubbles
         self.iterations = iterations
@@ -342,7 +378,7 @@ class PackedPlan:
             num_bubbles = len(self.bubbles)
             parts: List[GraphPartition] = []
             node_idx = 0
-            for k, count in enumerate(self._visit_counts.tolist()):
+            for k, count in enumerate(self._visit_counts):
                 nodes = []
                 for _ in range(count):
                     iteration, j = divmod(node_idx, n)
@@ -368,24 +404,25 @@ class PackedPlan:
         materializing it.
         """
         num_bubbles = len(self.bubbles)
-        counts = self._visit_counts
-        for k, duration in enumerate(self._visit_durations.tolist()):
-            if counts[k]:
+        for k, (count, duration) in enumerate(
+            zip(self._visit_counts, self._visit_durations)
+        ):
+            if count:
                 yield k % num_bubbles, duration
 
     # -- the ExecutionPlan metric API -------------------------------------------
 
     @property
     def num_cycles(self) -> int:
-        if not len(self._visit_counts):
+        if not self._visit_counts:
             return 0
         return (len(self._visit_counts) - 1) // len(self.bubbles) + 1
 
     @property
     def planned_work_seconds(self) -> float:
-        # tolist() yields Python floats; the sequential sum reproduces
-        # ExecutionPlan.planned_work_seconds' addition order exactly.
-        return sum(self._visit_durations.tolist())
+        # The same sum() over the same per-visit floats, in the same order,
+        # as ExecutionPlan.planned_work_seconds.
+        return sum(self._visit_durations)
 
     @property
     def planned_flops(self) -> float:
@@ -433,19 +470,32 @@ class PackedPlan:
 
 
 def _pack_visit_lengths(
-    durations: np.ndarray,
-    memories: np.ndarray,
+    graph: ComputationalGraph,
+    iterations: int,
     usable_durations: Sequence[float],
     usable_memory: Sequence[float],
     *,
     max_cycles: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The Algorithm-1 packing loop over flat arrays.
+) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+    """The Algorithm-1 packing loop over ``iterations`` replicas of ``graph``.
 
     Returns per-bubble-visit ``(node counts, packed durations)``; raises the
     same :class:`PlanError`\\ s (same messages, same trigger conditions) as
-    the scalar loop in :func:`plan_fill_job`.
+    the node loop in :func:`plan_fill_job`.
     """
+    base_durations = graph.node_durations
+    base_memories = graph.node_memory_bytes
+    n = len(base_durations)
+    total = graph.total_duration
+    peak = graph.peak_memory_bytes
+    # Per bubble: sorted base offsets of the nodes too large for its memory.
+    over_memory = [
+        ()
+        if peak <= mem_cap
+        else tuple(j for j, m in enumerate(base_memories) if m > mem_cap)
+        for mem_cap in usable_memory
+    ]
+    durations = list(base_durations) * iterations
     num_nodes = len(durations)
     num_bubbles = len(usable_durations)
     visit_counts: List[int] = []
@@ -453,42 +503,33 @@ def _pack_visit_lengths(
     next_node = 0
     bubble_idx = 0
     empty_streak = 0
-    window = 32
     while next_node < num_nodes:
-        cycle_index = bubble_idx // num_bubbles
+        cycle_index, i = divmod(bubble_idx, num_bubbles)
         if cycle_index >= max_cycles:
             raise PlanError(
                 f"plan exceeded {max_cycles} bubble cycles; the fill job is too "
                 "large for this bubble cycle"
             )
-        i = bubble_idx % num_bubbles
         capacity = usable_durations[i]
-        mem_cap = usable_memory[i]
-        # Widen the window until it contains the first violation (or the end
-        # of the node sequence); the cumsum restarts at 0.0 per visit exactly
-        # like the scalar loop's packed_duration accumulator.
-        length = 0
-        packed = 0.0
-        w = window
+        # The visit ends at the first node over this bubble's memory cap ...
+        limit = num_nodes
+        over = over_memory[i]
+        if over:
+            replica, offset = divmod(next_node, n)
+            k = bisect_left(over, offset)
+            first = replica * n + over[k] if k < len(over) else (replica + 1) * n + over[0]
+            limit = min(limit, first)
+        # ... or at the first node whose running total exceeds its capacity.
+        window = (int(capacity / total) + 2) * n
         while True:
-            end = min(next_node + w, num_nodes)
-            c = np.cumsum(durations[next_node:end])
-            viol = c > capacity
-            viol |= memories[next_node:end] > mem_cap
-            hit = int(viol.argmax())
-            if viol[hit]:
-                length = hit
-            elif end < num_nodes:
-                w *= 2
-                continue
-            else:
-                length = end - next_node
-            if length:
-                packed = float(c[length - 1])
-            break
-        window = max(16, 2 * length)
+            end = min(next_node + window, limit)
+            sums = list(accumulate(durations[next_node:end], initial=0.0))
+            length = bisect_right(sums, capacity) - 1
+            if length < end - next_node or end == limit:
+                break
+            window *= 2
         visit_counts.append(length)
-        visit_durations.append(packed)
+        visit_durations.append(sums[length])
         next_node += length
         if length == 0:
             empty_streak += 1
@@ -499,10 +540,7 @@ def _pack_visit_lengths(
         else:
             empty_streak = 0
         bubble_idx += 1
-    return (
-        np.asarray(visit_counts, dtype=np.int64),
-        np.asarray(visit_durations, dtype=np.float64),
-    )
+    return tuple(visit_counts), tuple(visit_durations)
 
 
 def pack_fill_job(
@@ -512,50 +550,17 @@ def pack_fill_job(
     *,
     max_cycles: int = 10_000,
 ) -> PackedPlan:
-    """Vectorized :func:`plan_fill_job`: same plan, nodes materialized lazily.
+    """Scalar-packed :func:`plan_fill_job`: same plan, nodes materialized lazily.
 
-    Raises exactly the :class:`PlanError`\\ s the scalar path raises, with
+    Raises exactly the :class:`PlanError`\\ s the node loop raises, with
     the same messages, so the two are interchangeable to callers.
     """
-    config = config or PipeFillConfig()
-    bubbles = tuple(
-        b
-        for b in cycle.fillable_bubbles
-        if config.usable_bubble_seconds(b.duration) > 0.0
+    bubbles, usable_durations, usable_memory, iterations = _prepare(
+        graph, cycle, config or PipeFillConfig()
     )
-    if not bubbles:
-        raise PlanError(
-            f"bubble cycle of stage {cycle.stage_id} has no fillable bubbles "
-            f"longer than {config.min_fill_bubble_seconds}s"
-        )
-
-    usable_durations = [config.usable_bubble_seconds(b.duration) for b in bubbles]
-    usable_memory = [config.usable_bubble_memory(b.free_memory_bytes) for b in bubbles]
-    total_usable = sum(usable_durations)
-
-    base_durations = np.array([n.duration for n in graph.nodes], dtype=np.float64)
-    base_memories = np.array([n.memory_bytes for n in graph.nodes], dtype=np.float64)
-
-    # Feasibility: every node must fit in at least one bubble (first offender
-    # reported, like the scalar pre-check).
-    fits_any = (
-        (base_durations[:, None] <= np.asarray(usable_durations)[None, :])
-        & (base_memories[:, None] <= np.asarray(usable_memory)[None, :])
-    ).any(axis=1)
-    if not fits_any.all():
-        node = graph.nodes[int(np.argmin(fits_any))]
-        raise PlanError(
-            f"graph node {node.name!r} (duration {node.duration:.4f}s, "
-            f"memory {node.memory_bytes:.3e} B) does not fit in any bubble of "
-            f"stage {cycle.stage_id}'s cycle"
-        )
-
-    iterations = _replication_count(graph.total_duration, total_usable)
-    durations = np.tile(base_durations, iterations)
-    memories = np.tile(base_memories, iterations)
     visit_counts, visit_durations = _pack_visit_lengths(
-        durations,
-        memories,
+        graph,
+        iterations,
         usable_durations,
         usable_memory,
         max_cycles=max_cycles,

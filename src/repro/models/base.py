@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence
 
 from repro.utils.validation import check_non_negative, check_positive
@@ -264,20 +265,37 @@ class ComputationalGraph:
         if not self.nodes:
             raise ValueError("a computational graph must have at least one node")
 
-    @property
+    # The aggregates below are cached on first use (a graph is immutable);
+    # the cache lives in the instance ``__dict__`` and never takes part in
+    # equality, hashing or pickling, which use the dataclass fields only.
+
+    @cached_property
+    def node_durations(self) -> tuple[float, ...]:
+        """Per-node durations, in graph order."""
+        return tuple(node.duration for node in self.nodes)
+
+    @cached_property
+    def node_memory_bytes(self) -> tuple[float, ...]:
+        """Per-node memory requirements, in graph order."""
+        return tuple(node.memory_bytes for node in self.nodes)
+
+    @cached_property
     def total_duration(self) -> float:
         """Sum of node durations (one iteration's exclusive execution time)."""
-        return sum(node.duration for node in self.nodes)
+        return sum(self.node_durations)
 
-    @property
+    @cached_property
     def total_flops(self) -> float:
         """Sum of node FLOPs for one iteration."""
         return sum(node.flops for node in self.nodes)
 
-    @property
+    @cached_property
     def peak_memory_bytes(self) -> float:
         """Largest single-node memory requirement."""
-        return max(node.memory_bytes for node in self.nodes)
+        return max(self.node_memory_bytes)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -159,3 +159,40 @@ class TestMemoryCapIsolation:
         assert not ok
         # The main job's allocation is untouched by the fill job's OOM.
         assert allocator.memory_allocated("main-job") == pytest.approx(10 * GIB)
+
+
+class TestSharedMemoBound:
+    """The shared estimate memos are reused across executors until more
+    than ``_MAX_SHARED_NAMESPACES`` namespaces exist, then flushed."""
+
+    @staticmethod
+    def _cycle(duration: float) -> BubbleCycle:
+        return BubbleCycle.from_durations([duration, 1.0], 4.5 * GIB, period=4.0)
+
+    @pytest.fixture()
+    def executor_mod(self, monkeypatch):
+        import repro.core.executor as executor_mod
+
+        executor_mod.clear_shared_caches()
+        monkeypatch.setattr(executor_mod, "_MAX_SHARED_NAMESPACES", 2)
+        yield executor_mod
+        executor_mod.clear_shared_caches()
+
+    def test_hit_after_reuse_within_bound(self, executor_mod, bert_base_model):
+        a, b = self._cycle(0.5), self._cycle(0.6)
+        first = FillJobExecutor(a).build_estimate(bert_base_model, JobType.BATCH_INFERENCE)
+        FillJobExecutor(b)
+        reused = FillJobExecutor(a)
+        assert reused.build_estimate(bert_base_model, JobType.BATCH_INFERENCE) is first
+
+    def test_flush_past_bound_recomputes_equal_estimate(self, executor_mod, bert_base_model):
+        a, b, c = self._cycle(0.5), self._cycle(0.6), self._cycle(0.7)
+        first = FillJobExecutor(a).build_estimate(bert_base_model, JobType.BATCH_INFERENCE)
+        FillJobExecutor(b)
+        FillJobExecutor(c)
+        fresh = FillJobExecutor(a)  # three namespaces exceed the bound: flushed
+        assert len(executor_mod._SHARED_ESTIMATES) == 1
+        estimate = fresh.build_estimate(bert_base_model, JobType.BATCH_INFERENCE)
+        assert estimate is not first
+        assert estimate.samples_per_cycle == first.samples_per_cycle
+        assert estimate.plan.partitions == first.plan.partitions

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.models.base import (
@@ -122,6 +124,20 @@ class TestComputationalGraph:
         assert graph.total_flops == pytest.approx(10.0)
         assert graph.peak_memory_bytes == 99.0
         assert len(graph) == 2
+
+    def test_cached_aggregates_stay_out_of_identity(self):
+        nodes = (make_node("a", 0.1), make_node("b", 0.2, memory=99.0))
+        warm = ComputationalGraph(model_name="toy", nodes=nodes)
+        cold = ComputationalGraph(model_name="toy", nodes=nodes)
+        assert warm.node_durations == (0.1, 0.2)
+        assert warm.node_memory_bytes == (nodes[0].memory_bytes, 99.0)
+        assert warm.total_duration == 0.1 + 0.2
+        assert "total_duration" in vars(warm) and "total_duration" not in vars(cold)
+        # Equality, hashing and pickles see the dataclass fields only.
+        assert warm == cold and hash(warm) == hash(cold)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        restored = pickle.loads(pickle.dumps(warm))
+        assert restored == warm and "total_duration" not in vars(restored)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
