@@ -5,9 +5,10 @@ One executor runs per device.  Given the device's repeating bubble cycle it
 1. evaluates the fill job under candidate execution configurations (batch
    size, CPU offloading, activation checkpointing), discarding those whose
    device footprint exceeds the bubbles' usable free memory,
-2. runs the Fill Job Execution Plan Algorithm (Algorithm 1) for each
-   surviving configuration and keeps the one with the highest effective
-   throughput,
+2. runs the Fill Job Execution Plan Algorithm (Algorithm 1) for the
+   surviving configurations and keeps the one with the highest effective
+   throughput, skipping those whose throughput bound proves they cannot
+   win (see :meth:`FillJobExecutor._search`),
 3. enforces the per-process memory cap so that a fill-job OOM can never
    affect the main job, and
 4. exposes the throughput/recovered-FLOPs estimates the scheduler and the
@@ -23,11 +24,14 @@ out of the profile and the plan; the third is modelled by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import PipeFillConfig
 from repro.core.plan import (
+    MAX_PLAN_CYCLES,
     ExecutionPlan,
     GraphPartition,
     PackedPlan,
@@ -40,7 +44,13 @@ from repro.hardware.memory import DeviceOOMError, MemoryAllocator
 from repro.models.base import ModelSpec
 from repro.models.configs import ExecutionConfig, JobType, candidate_configs
 from repro.models.efficiency import DEFAULT_EFFICIENCY, EfficiencyModel
-from repro.models.profiles import ModelProfile, best_profile, profile_model
+from repro.models.profiles import (
+    ModelProfile,
+    best_profile,
+    clear_profile_memo,
+    profile_memo,
+    profile_model,
+)
 from repro.pipeline.bubbles import BubbleCycle
 from repro.utils import plancache
 from repro.utils.validation import check_positive
@@ -51,15 +61,16 @@ from repro.utils.validation import check_positive
 # efficiency model, model, job type) -- never on scheduler state -- so
 # executors constructed with identical inputs (every device of a stage, every
 # run over the same system) can share one memo instead of each re-running the
-# profile + Algorithm-1 plan search.  Cycle, device and config are frozen
-# dataclasses keyed by value.  The efficiency model holds dicts and the
-# model spec would be expensive to hash on the estimate hot path, so both
-# are keyed by identity: the efficiency id is resolved once per executor and
-# pinned, and every cached entry stores the model spec it was computed for
-# (the strong reference keeps that id from ever being reused, so two
-# *different* specs -- even ones sharing a registry name -- can never
-# collide, while the registry's one-canonical-spec-per-name behaviour still
-# shares entries across runs).
+# Algorithm-1 plan search.  (Profiles do not depend on the cycle; they come
+# from the process-wide memo in :mod:`repro.models.profiles`.)  Cycle,
+# device and config are frozen dataclasses keyed by value.  The efficiency
+# model holds dicts and the model spec would be expensive to hash on the
+# estimate hot path, so both are keyed by identity: the efficiency id is
+# resolved once per executor and pinned, and every cached entry stores the
+# model spec it was computed for (the strong reference keeps that id from
+# ever being reused, so two *different* specs -- even ones sharing a
+# registry name -- can never collide, while the registry's
+# one-canonical-spec-per-name behaviour still shares entries across runs).
 
 #: One cached estimate: the model it was computed for plus the result.
 _EstimateEntry = Tuple[ModelSpec, Optional["FillExecutionEstimate"]]
@@ -67,7 +78,6 @@ _EstimateEntry = Tuple[ModelSpec, Optional["FillExecutionEstimate"]]
 _PINNED_EFFICIENCY: Dict[int, EfficiencyModel] = {}
 _SHARED_ESTIMATES: Dict[tuple, Dict[Tuple[int, JobType], "_EstimateEntry"]] = {}
 _SHARED_ISOLATED: Dict[tuple, Dict[Tuple[int, JobType], Tuple[ModelSpec, float]]] = {}
-_SHARED_PROFILES: Dict[tuple, Dict[tuple, Tuple[ModelSpec, ModelProfile]]] = {}
 
 #: Crude growth bounds: when this many distinct (cycle, device, config,
 #: efficiency) namespaces accumulate (a long-lived process iterating many
@@ -80,6 +90,27 @@ _SHARED_PROFILES: Dict[tuple, Dict[tuple, Tuple[ModelSpec, ModelProfile]]] = {}
 #: sharing restarts cold.
 _MAX_SHARED_NAMESPACES = 512
 _MAX_NAMESPACE_ENTRIES = 4096
+
+# -- the config-search bound ---------------------------------------------------
+#
+# A packed plan spanning ``nc`` cycles visits each fillable bubble ``b`` at
+# most once per cycle, running ``d <= cap_b`` seconds of work (``cap_b`` is
+# the bubble's usable duration), and ``d * bubble_efficiency(d)`` is
+# non-decreasing in ``d`` (the EfficiencyModel contract).  So the plan's
+# effective work is at most ``nc * W`` with ``W = sum_b cap_b * eff(cap_b)``,
+# and a config with batch size ``bs`` and iteration time ``T`` can reach at
+# most ``(W / period) * bs / T`` effective samples/s.  Both sides of that
+# inequality are float evaluations, so the bound is padded:
+#
+# * each ``eff`` term by an absolute ``_EFFICIENCY_SLACK``: the closed form
+#   rounds to within ~1e-15 absolute, which relative to ``eff`` is unbounded
+#   as ``cold_efficiency`` nears 0;
+# * the whole bound by a relative margin of ``2**-52`` per summand a plan or
+#   the bound can add (at most ``MAX_PLAN_CYCLES + 1`` visits per bubble),
+#   plus 1e-9 for the handful of products and quotients around the sums.
+
+_EFFICIENCY_SLACK = 1e-12
+_BOUND_MARGIN = 1e-9
 
 
 def _efficiency_id(efficiency: EfficiencyModel) -> int:
@@ -95,7 +126,6 @@ def _flush_if_oversized() -> None:
     if len(_SHARED_ESTIMATES) > _MAX_SHARED_NAMESPACES:
         _SHARED_ESTIMATES.clear()
         _SHARED_ISOLATED.clear()
-        _SHARED_PROFILES.clear()
         _PINNED_EFFICIENCY.clear()
 
 
@@ -106,8 +136,8 @@ def clear_shared_caches() -> None:
 
     _SHARED_ESTIMATES.clear()
     _SHARED_ISOLATED.clear()
-    _SHARED_PROFILES.clear()
     _PINNED_EFFICIENCY.clear()
+    clear_profile_memo()
     clear_model_cache()
 
 
@@ -227,9 +257,7 @@ class FillJobExecutor:
         self._isolated_cache: Dict[Tuple[int, JobType], Tuple[ModelSpec, float]] = (
             _SHARED_ISOLATED.setdefault(device_key, {})
         )
-        self._profile_cache: Dict[tuple, Tuple[ModelSpec, ModelProfile]] = (
-            _SHARED_PROFILES.setdefault(device_key, {})
-        )
+        self._profiles = profile_memo(device, efficiency)
         #: Free memory (after the safety margin) available in the tightest
         #: bubble; fixed for the executor's lifetime like the cycle itself.
         self.usable_memory_bytes: float = self.config.usable_bubble_memory(
@@ -275,50 +303,49 @@ class FillJobExecutor:
             self._isolated_cache[key] = entry
         return entry[1]
 
-    def _profile(
-        self,
-        model: ModelSpec,
-        job_type: JobType,
-        exec_config: ExecutionConfig,
-        *,
-        use_cache: bool = True,
-    ) -> ModelProfile:
-        """Memoised :func:`profile_model` (profiles do not depend on the cycle)."""
-        if not use_cache:
-            return profile_model(model, job_type, exec_config, self.device, self.efficiency)
-        # repro: lint-ignore[hash-id] -- identity-memo cache key (hashing the
-        # spec's layers on every lookup was the cost); the entry pins the
-        # spec and the key is never ordered or serialized.
-        key = (id(model), job_type, exec_config)
-        entry = self._profile_cache.get(key)
-        # Entries pin their spec, so a hit is always the same object.
-        if entry is None or entry[0] is not model:
-            entry = (
-                model,
-                profile_model(model, job_type, exec_config, self.device, self.efficiency),
+    @cached_property
+    def _work_rate_bound(self) -> float:
+        """``W / period`` of the config-search bound (module docs above),
+        padded for rounding; fixed for the executor's lifetime like the
+        cycle, and computed on the first search (a disk-cache hit needs
+        none)."""
+        if self.cycle.period <= 0:
+            return math.inf
+        caps = [
+            cap
+            for cap in (
+                self.config.usable_bubble_seconds(b.duration)
+                for b in self.cycle.fillable_bubbles
             )
-            if len(self._profile_cache) >= _MAX_NAMESPACE_ENTRIES:
-                self._profile_cache.clear()
-            self._profile_cache[key] = entry
-        return entry[1]
+            if cap > 0.0
+        ]
+        work = 0.0
+        for cap in caps:
+            work += cap * (self.efficiency.bubble_efficiency(cap) + _EFFICIENCY_SLACK)
+        margin = _BOUND_MARGIN + (MAX_PLAN_CYCLES + 1) * len(caps) * 2.0**-52
+        return work / self.cycle.period * (1.0 + margin)
+
+    def _throughput_bound(self, profile: ModelProfile) -> float:
+        """Upper bound on the effective samples/s of any plan of ``profile``."""
+        iteration_time = profile.graph.total_duration
+        if iteration_time <= 0:
+            return math.inf
+        return self._work_rate_bound * profile.config.batch_size / iteration_time
 
     def _evaluate_config(
         self,
         model: ModelSpec,
         job_type: JobType,
-        exec_config: ExecutionConfig,
+        profile: ModelProfile,
         *,
         use_cache: bool = True,
     ) -> Optional[FillExecutionEstimate]:
-        profile = self._profile(model, job_type, exec_config, use_cache=use_cache)
-        if profile.device_footprint_bytes > self.usable_memory_bytes:
-            return None
         try:
             if use_cache:
                 # The scalar Algorithm-1 fast path: identical plan, node
                 # tuples materialized lazily.  The brute-force reference mode
-                # keeps the scalar planner, so the differential oracles and
-                # golden digests prove the two packers bit-identical.
+                # runs the node-by-node planner, so the differential oracles
+                # and golden digests prove the two packers bit-identical.
                 plan = pack_fill_job(profile.graph, self.cycle, self.config)
             else:
                 plan = plan_fill_job(profile.graph, self.cycle, self.config)
@@ -400,25 +427,74 @@ class FillJobExecutor:
                 return value
         if configs is None:
             configs = candidate_configs(job_type)
-        best: Optional[FillExecutionEstimate] = None
-        for exec_config in configs:
-            estimate = self._evaluate_config(
-                model, job_type, exec_config, use_cache=use_cache
-            )
-            if estimate is None:
-                continue
-            if (
-                best is None
-                or estimate.effective_samples_per_second
-                > best.effective_samples_per_second
-            ):
-                best = estimate
+        if use_cache:
+            best = self._search(model, job_type, configs)
+        else:
+            best = self._full_scan(model, job_type, configs)
         if use_cache and default_configs:
             if len(self._estimate_cache) >= _MAX_NAMESPACE_ENTRIES:
                 self._estimate_cache.clear()
             self._estimate_cache[key] = (model, best)
             if disk_key is not None:
                 plancache.put(disk_key, best)
+        return best
+
+    def _search(
+        self,
+        model: ModelSpec,
+        job_type: JobType,
+        configs: Sequence[ExecutionConfig],
+    ) -> Optional[FillExecutionEstimate]:
+        """Branch-and-bound over ``configs``; returns what ``_full_scan`` does.
+
+        Every config is profiled and those over the usable memory dropped;
+        the rest are planned in descending order of their throughput bound
+        (module docs), stopping at the first bound strictly below the best
+        throughput found.  Ties keep the earliest config in ``configs``,
+        as the full scan does.
+        """
+        ranked = []
+        for index, exec_config in enumerate(configs):
+            profile = self._profiles.get(model, job_type, exec_config)
+            if profile.device_footprint_bytes <= self.usable_memory_bytes:
+                ranked.append((self._throughput_bound(profile), index, profile))
+        ranked.sort(key=lambda item: (-item[0], item[1]))
+        best: Optional[FillExecutionEstimate] = None
+        best_index = 0
+        for bound, index, profile in ranked:
+            if best is not None and bound < best.effective_samples_per_second:
+                break
+            estimate = self._evaluate_config(model, job_type, profile)
+            if estimate is None:
+                continue
+            value = estimate.effective_samples_per_second
+            if (
+                best is None
+                or value > best.effective_samples_per_second
+                or (value == best.effective_samples_per_second and index < best_index)
+            ):
+                best, best_index = estimate, index
+        return best
+
+    def _full_scan(
+        self,
+        model: ModelSpec,
+        job_type: JobType,
+        configs: Sequence[ExecutionConfig],
+    ) -> Optional[FillExecutionEstimate]:
+        """The reference search: profile and plan every config, no memo."""
+        best: Optional[FillExecutionEstimate] = None
+        for exec_config in configs:
+            profile = profile_model(model, job_type, exec_config, self.device, self.efficiency)
+            if profile.device_footprint_bytes > self.usable_memory_bytes:
+                continue
+            estimate = self._evaluate_config(model, job_type, profile, use_cache=False)
+            if estimate is not None and (
+                best is None
+                or estimate.effective_samples_per_second
+                > best.effective_samples_per_second
+            ):
+                best = estimate
         return best
 
     def processing_time(

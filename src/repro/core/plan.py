@@ -140,6 +140,10 @@ class ExecutionPlan:
         return [p for p in self.partitions if p.cycle_index == cycle_index]
 
 
+#: Default safety bound on the number of bubble cycles one plan may span.
+MAX_PLAN_CYCLES = 10_000
+
+
 def _replication_count(
     graph_duration: float, total_usable_bubble: float
 ) -> int:
@@ -216,7 +220,7 @@ def plan_fill_job(
     cycle: BubbleCycle,
     config: Optional[PipeFillConfig] = None,
     *,
-    max_cycles: int = 10_000,
+    max_cycles: int = MAX_PLAN_CYCLES,
 ) -> ExecutionPlan:
     """Run Algorithm 1: pack ``graph`` onto the bubble cycle of a device.
 
@@ -548,7 +552,7 @@ def pack_fill_job(
     cycle: BubbleCycle,
     config: Optional[PipeFillConfig] = None,
     *,
-    max_cycles: int = 10_000,
+    max_cycles: int = MAX_PLAN_CYCLES,
 ) -> PackedPlan:
     """Scalar-packed :func:`plan_fill_job`: same plan, nodes materialized lazily.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.utils.validation import check_positive
 
@@ -89,6 +89,10 @@ class ExecutionConfig:
         return replace(self, batch_size=batch_size)
 
 
+#: The default candidate lists, one per job type, built on first use.
+_DEFAULT_CONFIGS: Dict[JobType, Tuple[ExecutionConfig, ...]] = {}
+
+
 def candidate_configs(
     job_type: JobType,
     *,
@@ -102,7 +106,26 @@ def candidate_configs(
     offloading; training jobs additionally consider activation checkpointing
     and optimizer/activation offloading, mirroring the ZeRO-Offload /
     ZeRO-Infinity options the paper's implementation exposes.
+
+    The default lists (no arguments besides ``job_type``) are built once per
+    job type; each call returns a fresh copy, so callers may mutate it.
     """
+    if batch_sizes is None and allow_offloading and allow_checkpointing:
+        default = _DEFAULT_CONFIGS.get(job_type)
+        if default is None:
+            default = _DEFAULT_CONFIGS[job_type] = tuple(
+                _enumerate_configs(job_type, None, True, True)
+            )
+        return list(default)
+    return _enumerate_configs(job_type, batch_sizes, allow_offloading, allow_checkpointing)
+
+
+def _enumerate_configs(
+    job_type: JobType,
+    batch_sizes: Sequence[int] | None,
+    allow_offloading: bool,
+    allow_checkpointing: bool,
+) -> List[ExecutionConfig]:
     if batch_sizes is None:
         batch_sizes = (
             DEFAULT_TRAINING_BATCH_SIZES

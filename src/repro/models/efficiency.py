@@ -139,6 +139,13 @@ class EfficiencyModel:
 
         which tends to ``cold_efficiency`` for very short runs and to 1 for
         runs much longer than ``tau`` (e.g. exclusive execution).
+
+        Contract: the result lies in ``[cold_efficiency, 1]`` and is
+        non-decreasing in ``run_duration``, so the useful work of a run,
+        ``run_duration * bubble_efficiency(run_duration)``, is too.  The
+        executor's config search prunes on this: a plan can never do more
+        useful work in a bubble than a run filling the whole bubble
+        (:class:`repro.core.executor.FillJobExecutor`).
         """
         if run_duration < 0:
             raise ValueError(f"run_duration must be >= 0, got {run_duration}")

@@ -16,7 +16,7 @@ Algorithm 1 packs into pipeline bubbles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.device import DeviceSpec, V100_16GB
 from repro.models.base import (
@@ -280,6 +280,75 @@ def profile_model(
     )
 
 
+# -- the shared profile memo ---------------------------------------------------
+#
+# A profile is a pure function of (model, job type, config, device,
+# efficiency model), and the same profiles are asked for over and over: by
+# every executor's plan search and by every isolated-throughput lookup.  One
+# process-wide memo serves them all.  It is split into one namespace per
+# (device, efficiency model), so a caller that holds its namespace pays for
+# hashing the device once, not per lookup.  The efficiency model and the
+# model spec are keyed by identity (hashing them by value would cost more
+# than a hit saves); each namespace pins its efficiency model and each entry
+# pins its spec, so an id can never be reused while its key is live.  Growth
+# is bounded like the executor's estimate memos: past the bounds the memo
+# (or one namespace) is cleared wholesale, and holders of an orphaned
+# namespace stay correct.
+
+_MAX_PROFILE_NAMESPACES = 64
+_MAX_PROFILE_ENTRIES = 4096
+
+
+class ProfileMemo:
+    """Memoised :func:`profile_model` for one (device, efficiency model)."""
+
+    __slots__ = ("device", "efficiency_model", "_entries")
+
+    def __init__(self, device: DeviceSpec, efficiency_model: EfficiencyModel) -> None:
+        self.device = device
+        self.efficiency_model = efficiency_model
+        self._entries: Dict[tuple, Tuple[ModelSpec, ModelProfile]] = {}
+
+    def get(
+        self, model: ModelSpec, job_type: JobType, config: ExecutionConfig
+    ) -> ModelProfile:
+        """The profile of ``model`` under ``config``, computed at most once."""
+        key = (id(model), job_type, config)
+        entry = self._entries.get(key)
+        # Entries pin their spec, so a hit is always the same object.
+        if entry is None:
+            entry = (
+                model,
+                profile_model(model, job_type, config, self.device, self.efficiency_model),
+            )
+            if len(self._entries) >= _MAX_PROFILE_ENTRIES:
+                self._entries.clear()
+            self._entries[key] = entry
+        return entry[1]
+
+
+_PROFILE_MEMOS: Dict[Tuple[DeviceSpec, int], ProfileMemo] = {}
+
+
+def profile_memo(
+    device: DeviceSpec = V100_16GB,
+    efficiency_model: EfficiencyModel = DEFAULT_EFFICIENCY,
+) -> ProfileMemo:
+    """The process-wide profile memo namespace of ``(device, efficiency_model)``."""
+    key = (device, id(efficiency_model))
+    memo = _PROFILE_MEMOS.get(key)
+    if memo is None:
+        if len(_PROFILE_MEMOS) >= _MAX_PROFILE_NAMESPACES:
+            _PROFILE_MEMOS.clear()
+        memo = _PROFILE_MEMOS[key] = ProfileMemo(device, efficiency_model)
+    return memo
+
+
+def clear_profile_memo() -> None:
+    """Drop every memoised profile (cold-start benchmarks, test isolation)."""
+    _PROFILE_MEMOS.clear()
+
+
 def best_profile(
     model: ModelSpec,
     job_type: JobType,
@@ -292,14 +361,16 @@ def best_profile(
     """Pick the configuration with the highest throughput that fits in memory.
 
     Returns ``None`` when no candidate configuration fits (the job cannot be
-    used as a fill job on this device / bubble).
+    used as a fill job on this device / bubble).  Profiles come from the
+    shared :func:`profile_memo`.
     """
     check_positive(memory_limit_bytes, "memory_limit_bytes")
     if configs is None:
         configs = candidate_configs(job_type)
+    memo = profile_memo(device, efficiency_model)
     best: Optional[ModelProfile] = None
     for config in configs:
-        profile = profile_model(model, job_type, config, device, efficiency_model)
+        profile = memo.get(model, job_type, config)
         if not profile.fits_memory(memory_limit_bytes):
             continue
         if best is None or profile.throughput_samples_per_s > best.throughput_samples_per_s:

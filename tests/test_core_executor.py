@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import PipeFillConfig
 from repro.core.executor import FillJobExecutor
 from repro.hardware.memory import MemoryAllocator
-from repro.models.configs import ExecutionConfig, JobType
-from repro.pipeline.bubbles import BubbleCycle
+from repro.models.configs import ExecutionConfig, JobType, candidate_configs
+from repro.models.efficiency import EfficiencyModel
+from repro.models.registry import build_model
+from repro.pipeline.bubbles import Bubble, BubbleCycle
+from repro.pipeline.instructions import BubbleKind
 from repro.utils.units import GIB
 
 
@@ -196,3 +201,117 @@ class TestSharedMemoBound:
         assert estimate is not first
         assert estimate.samples_per_cycle == first.samples_per_cycle
         assert estimate.plan.partitions == first.plan.partitions
+
+
+def _config_pool(job_type: JobType):
+    """The default candidates plus, for inference, exact ties: inference
+    ignores the training-only flags, so each twin prices identically."""
+    pool = candidate_configs(job_type)
+    if not job_type.is_training:
+        pool += [
+            ExecutionConfig(c.batch_size, offload_params=c.offload_params, offload_optimizer=True)
+            for c in pool
+        ]
+    return pool
+
+
+@st.composite
+def _search_inputs(draw):
+    num_bubbles = draw(st.integers(min_value=1, max_value=4))
+    bubbles = tuple(
+        Bubble(
+            kind=draw(st.sampled_from(list(BubbleKind))),
+            stage_id=0,
+            index=i,
+            duration=draw(st.one_of(
+                st.sampled_from([0.0, 0.04, 0.05, 0.3]),
+                st.floats(min_value=0.03, max_value=1.2),
+            )),
+            free_memory_bytes=draw(st.sampled_from([0.25, 1, 2, 4.5, 8, 16])) * GIB,
+        )
+        for i in range(num_bubbles)
+    )
+    total = sum(b.duration for b in bubbles)
+    period = draw(st.one_of(
+        st.just(0.0), st.just(total), st.floats(min_value=total + 0.1, max_value=total + 4.0)
+    ))
+    cycle = BubbleCycle(stage_id=0, bubbles=bubbles, period=period)
+    config = PipeFillConfig(fill_fraction=draw(st.one_of(
+        st.sampled_from([0.68, 1.0]), st.floats(min_value=0.05, max_value=1.0)
+    )))
+    efficiency = EfficiencyModel(
+        cold_efficiency=draw(st.one_of(
+            st.sampled_from([0.0, 0.4, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+        )),
+        warmup_tau_seconds=draw(st.one_of(
+            st.just(4.0), st.floats(min_value=0.01, max_value=100.0)
+        )),
+    )
+    model = build_model(draw(st.sampled_from(["bert-base", "efficientnet", "bert-large"])))
+    job_type = draw(st.sampled_from(list(JobType)))
+    configs = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(_config_pool(job_type)), min_size=1, max_size=10),
+    ))
+    return FillJobExecutor(cycle, config=config, efficiency=efficiency), model, job_type, configs
+
+
+class TestPrunedSearch:
+    """The fast path's bound-pruned config search picks exactly what the
+    ``use_cache=False`` full scan picks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_search_inputs())
+    def test_matches_full_scan(self, inputs):
+        executor, model, job_type, configs = inputs
+        fast = executor.build_estimate(model, job_type, configs=configs)
+        brute = executor.build_estimate(model, job_type, configs=configs, use_cache=False)
+        assert (fast is None) == (brute is None)
+        if fast is not None:
+            assert fast.profile.config == brute.profile.config
+            assert fast.samples_per_cycle == brute.samples_per_cycle
+            assert fast.flops_per_cycle == brute.flops_per_cycle
+            assert fast.used_bubble_seconds_per_cycle == brute.used_bubble_seconds_per_cycle
+        # The bound the search prunes on holds for every config.
+        for exec_config in configs or candidate_configs(job_type):
+            single = executor.build_estimate(model, job_type, configs=[exec_config])
+            if single is not None:
+                assert single.effective_samples_per_second <= executor._throughput_bound(
+                    single.profile
+                )
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_exact_tie_keeps_the_earliest_config(self, executor_8k, bert_base_model, use_cache):
+        plain = ExecutionConfig(batch_size=64)
+        twin = ExecutionConfig(batch_size=64, offload_optimizer=True)
+        for configs in ([twin, plain], [plain, twin]):
+            estimate = executor_8k.build_estimate(
+                bert_base_model, JobType.BATCH_INFERENCE, configs=configs, use_cache=use_cache
+            )
+            assert estimate.profile.config == configs[0]
+
+    def test_packs_fewer_configs_than_it_profiles(self, monkeypatch, bubble_cycle_8k_module,
+                                                  bert_base_model):
+        import repro.core.executor as executor_mod
+        import repro.models.profiles as profiles_mod
+
+        calls = {"pack": 0, "profile": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        executor_mod.clear_shared_caches()
+        monkeypatch.setattr(executor_mod, "pack_fill_job",
+                            counting("pack", executor_mod.pack_fill_job))
+        monkeypatch.setattr(profiles_mod, "profile_model",
+                            counting("profile", profiles_mod.profile_model))
+        executor = FillJobExecutor(bubble_cycle_8k_module)
+        estimate = executor.build_estimate(bert_base_model, JobType.TRAINING)
+        assert estimate.profile.config == ExecutionConfig(batch_size=4)
+        # All 36 configs are profiled once (the isolated-throughput scan
+        # reuses them); 31 fit in memory, and only 2 of those are packed.
+        assert calls == {"pack": 2, "profile": 36}
+        executor_mod.clear_shared_caches()

@@ -71,6 +71,19 @@ class TestCandidateConfigs:
         with pytest.raises(ValueError):
             candidate_configs(JobType.TRAINING, batch_sizes=[0])
 
+    def test_callers_cannot_mutate_the_default_lists(self):
+        for job_type in JobType:
+            first = candidate_configs(job_type)
+            expected = list(first)
+            first.clear()
+            assert candidate_configs(job_type) == expected
+            # Explicit defaults and the argument-free call agree.
+            batch_sizes = (
+                DEFAULT_TRAINING_BATCH_SIZES if job_type.is_training
+                else DEFAULT_INFERENCE_BATCH_SIZES
+            )
+            assert candidate_configs(job_type, batch_sizes=batch_sizes) == expected
+
     def test_default_training_batches_smaller(self):
         assert max(DEFAULT_TRAINING_BATCH_SIZES) < max(DEFAULT_INFERENCE_BATCH_SIZES)
 

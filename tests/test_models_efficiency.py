@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.executor import _EFFICIENCY_SLACK
 from repro.models.base import LayerKind, LayerSpec
 from repro.models.efficiency import DEFAULT_EFFICIENCY, EfficiencyModel
 
@@ -89,6 +94,42 @@ class TestBubbleEfficiency:
         base = model.bubble_efficiency(0.7)
         halved = model.bubble_efficiency(0.35)
         assert (base - halved) / base < 0.20
+
+
+class TestBubbleEfficiencyContract:
+    """The contract the executor's config-search bound relies on: the
+    efficiency lies in ``[cold, 1]`` and the useful work ``d * eff(d)`` of a
+    run never decreases with its length, both to within the executor's
+    rounding slack."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        cold=st.one_of(st.sampled_from([0.0, 1e-12, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        tau=st.one_of(st.just(4.0), st.floats(min_value=1e-3, max_value=1e3)),
+        short=st.one_of(st.floats(min_value=0.0, max_value=1e4),
+                        st.floats(min_value=0.0, max_value=1e-6)),
+        # Mostly a few ulps apart: that is where rounding can invert the order.
+        gap=st.one_of(st.integers(min_value=0, max_value=4),
+                      st.floats(min_value=0.0, max_value=1e4)),
+    )
+    def test_work_non_decreasing_and_efficiency_bounded(self, cold, tau, short, gap):
+        model = EfficiencyModel(cold_efficiency=cold, warmup_tau_seconds=tau)
+        long = short + gap if isinstance(gap, float) else short
+        for _ in range(gap if isinstance(gap, int) else 0):
+            long = math.nextafter(long, math.inf)
+        eff_short, eff_long = model.bubble_efficiency(short), model.bubble_efficiency(long)
+        for eff in (eff_short, eff_long):
+            assert cold - _EFFICIENCY_SLACK <= eff <= 1.0
+        assert short * eff_short <= long * (eff_long + _EFFICIENCY_SLACK)
+
+    @pytest.mark.parametrize("cold", [0.0, 0.4])
+    def test_work_continuous_across_the_short_run_branch(self, cold):
+        model = EfficiencyModel(cold_efficiency=cold, warmup_tau_seconds=4.0)
+        edge = 1e-9 * 4.0
+        below, above = edge * (1 - 1e-12), edge * (1 + 1e-12)
+        assert below * model.bubble_efficiency(below) <= above * (
+            model.bubble_efficiency(above) + _EFFICIENCY_SLACK
+        )
 
 
 class TestValidation:

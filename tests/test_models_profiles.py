@@ -7,10 +7,12 @@ import pytest
 from repro.hardware.device import A100_80GB, V100_16GB
 from repro.models.base import NodeRole
 from repro.models.configs import ExecutionConfig, JobType
+from repro.models.efficiency import EfficiencyModel
 from repro.models.profiles import (
     best_profile,
     isolated_throughput,
     isolated_tflops,
+    profile_memo,
     profile_model,
 )
 from repro.utils.units import GIB
@@ -125,3 +127,31 @@ class TestIsolatedExecution:
         assert isolated_tflops(swin_model, JobType.BATCH_INFERENCE) < isolated_tflops(
             bert_base_model, JobType.BATCH_INFERENCE
         )
+
+
+class TestProfileMemo:
+    def test_memo_equals_uncached_profile(self, bert_base_model, training_config):
+        memo = profile_memo()
+        cached = memo.get(bert_base_model, JobType.TRAINING, training_config)
+        assert cached == profile_model(bert_base_model, JobType.TRAINING, training_config)
+        assert memo.get(bert_base_model, JobType.TRAINING, training_config) is cached
+
+    def test_namespaces_separate_devices_and_efficiency_models(self):
+        other = EfficiencyModel(cold_efficiency=0.5)
+        assert profile_memo() is profile_memo(V100_16GB)
+        assert profile_memo(A100_80GB) is not profile_memo()
+        assert profile_memo(V100_16GB, other) is not profile_memo()
+        assert profile_memo(V100_16GB, other).efficiency_model is other
+
+    def test_best_profile_reads_the_memo(self, bert_base_model):
+        profile = best_profile(bert_base_model, JobType.TRAINING, memory_limit_bytes=4 * GIB)
+        assert profile_memo().get(bert_base_model, JobType.TRAINING, profile.config) is profile
+
+    def test_clear_shared_caches_clears_the_memo(self, bert_base_model, training_config):
+        from repro.core.executor import clear_shared_caches
+
+        before = profile_memo().get(bert_base_model, JobType.TRAINING, training_config)
+        clear_shared_caches()
+        after = profile_memo().get(bert_base_model, JobType.TRAINING, training_config)
+        assert after is not before
+        assert after == before
