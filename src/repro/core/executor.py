@@ -130,15 +130,19 @@ def _flush_if_oversized() -> None:
 
 
 def clear_shared_caches() -> None:
-    """Drop all process-wide estimate/profile memos (benchmarks use this to
-    measure cold-start plan-search cost; tests use it for isolation)."""
+    """Drop all process-wide estimate/profile/trace memos (benchmarks use
+    this to measure cold-start cost; tests use it for isolation)."""
     from repro.models.registry import clear_model_cache
+    from repro.workloads.generator import clear_trace_memo
+    from repro.workloads.model_hub import clear_default_distributions
 
     _SHARED_ESTIMATES.clear()
     _SHARED_ISOLATED.clear()
     _PINNED_EFFICIENCY.clear()
     clear_profile_memo()
     clear_model_cache()
+    clear_trace_memo()
+    clear_default_distributions()
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 Figure 1 is the headline view of the Figure 4c data: TFLOP/s per GPU versus
 GPU count for traditional pipeline parallelism (LLM only) and for PipeFill
-(LLM plus fill jobs).  This harness reuses the Figure 4 sweep and projects
-out the two headline series.
+(LLM plus fill jobs).  This harness calls the Figure 4 per-scale
+evaluation (:func:`~repro.experiments.fig4_scaling.evaluate_scale_point`)
+again at every GPU count, which runs both fill-job workloads, and keeps only
+the traditional-PP and trace-mix series; the BERT-inference result is
+computed and discarded.
 """
 
 from __future__ import annotations

@@ -484,9 +484,13 @@ class MultiTenantSimulator:
             open_loop.on_arrival(event.job_id)
             # Urgent deadline arrivals that no idle executor can serve
             # in time get a preemption attempt *before* plain dispatch
-            # would strand them on a too-slow idle device.
-            if accepted and not global_sched.idle_can_meet_deadline(
-                event.job_id, now
+            # would strand them on a too-slow idle device.  Without a
+            # preemption rule there is no attempt to make, so the idle
+            # check is skipped too.
+            if (
+                accepted
+                and global_sched.preemption_rule is not None
+                and not global_sched.idle_can_meet_deadline(event.job_id, now)
             ):
                 preempting = global_sched.try_preempt(event.job_id, now)
                 if preempting is not None:

@@ -81,13 +81,6 @@ class FillJobTraceBuilder:
             )
         return self._throughput_cache[key]
 
-    def _job_type_for(self, model_name: str, rng) -> JobType:
-        category = category_for_model(model_name)
-        types = category.job_types()
-        if len(types) == 1:
-            return types[0]
-        return JobType.TRAINING if rng.random() < 0.5 else JobType.BATCH_INFERENCE
-
     # -- conversion --------------------------------------------------------------
 
     def from_trace_jobs(
@@ -98,15 +91,25 @@ class FillJobTraceBuilder:
         surviving = self.trace_filter.apply(trace_jobs)
         fill_jobs: List[FillJob] = []
         assert self.distribution is not None
+        sample = self.distribution.sample
+        random = gen.random
+        throughput_of = self._isolated_throughput
+        job_types = _job_types_by_model()
+        deadline_fraction = self.deadline_fraction
+        slack_factor = self.deadline_slack_factor
         for trace_job in surviving:
-            model_name = self.distribution.sample(gen)
-            job_type = self._job_type_for(model_name, gen)
-            throughput = self._isolated_throughput(model_name, job_type)
+            model_name = sample(gen)
+            types = job_types[model_name]
+            if len(types) == 1:
+                job_type = types[0]
+            else:
+                job_type = JobType.TRAINING if random() < 0.5 else JobType.BATCH_INFERENCE
+            throughput = throughput_of(model_name, job_type)
             num_samples = max(1.0, trace_job.gpu_seconds * throughput)
             deadline = None
-            if gen.random() < self.deadline_fraction:
+            if random() < deadline_fraction:
                 ideal = num_samples / throughput
-                deadline = trace_job.arrival_time + self.deadline_slack_factor * ideal
+                deadline = trace_job.arrival_time + slack_factor * ideal
             fill_jobs.append(
                 FillJob(
                     job_id=f"fill-{trace_job.job_id}",
@@ -133,6 +136,30 @@ class FillJobTraceBuilder:
         return self.from_trace_jobs(trace_jobs, rng=gen)
 
 
+def _job_types_by_model() -> Dict[str, Tuple[JobType, ...]]:
+    """The job types each Table 1 model may produce, looked up once per stream."""
+    return {name: category.job_types() for name, category in FILL_JOB_CATEGORIES.items()}
+
+
+# -- the trace memo --------------------------------------------------------------
+#
+# A trace is a pure function of build_fill_job_trace's arguments when the
+# seed is an integer, and the experiments ask for the same traces again and
+# again (Figures 1 and 4 build the same two traces at every scale point).
+# One process-wide memo keeps each as a tuple of frozen jobs and hands out a
+# fresh list per call.  It is bounded by the jobs it holds: past the bound
+# it is cleared wholesale, a trace larger than the bound is never kept, and
+# clear_shared_caches() empties it.
+
+_MAX_TRACE_MEMO_JOBS = 20_000
+_TRACE_MEMO: Dict[tuple, Tuple[FillJob, ...]] = {}
+
+
+def clear_trace_memo() -> None:
+    """Drop every memoised fill-job trace."""
+    _TRACE_MEMO.clear()
+
+
 def build_fill_job_trace(
     duration_seconds: float,
     *,
@@ -149,8 +176,40 @@ def build_fill_job_trace(
     them); ``job_type`` forces all jobs to one type (e.g. the "BERT
     inference only" workload of Figure 4c); ``deadline_slack_factor``
     controls how loose the generated deadlines are relative to each job's
-    ideal exclusive-GPU processing time.
+    ideal exclusive-GPU processing time.  Traces of integer seeds are
+    memoised; every call returns a fresh list.
     """
+    if not isinstance(seed, (int, np.integer)):
+        return _build_fill_job_trace(
+            duration_seconds, arrival_rate_per_hour, models, job_type,
+            deadline_fraction, deadline_slack_factor, seed,
+        )
+    key = (
+        duration_seconds, arrival_rate_per_hour,
+        None if models is None else tuple(models), job_type,
+        deadline_fraction, deadline_slack_factor, seed,
+    )
+    jobs = _TRACE_MEMO.get(key)
+    if jobs is None:
+        built = _build_fill_job_trace(*key)
+        if len(built) < _MAX_TRACE_MEMO_JOBS:
+            held = sum(map(len, _TRACE_MEMO.values()))
+            if held + len(built) > _MAX_TRACE_MEMO_JOBS:
+                _TRACE_MEMO.clear()
+            _TRACE_MEMO[key] = tuple(built)
+        return built
+    return list(jobs)
+
+
+def _build_fill_job_trace(
+    duration_seconds: float,
+    arrival_rate_per_hour: float,
+    models: Optional[Sequence[str]],
+    job_type: Optional[JobType],
+    deadline_fraction: float,
+    deadline_slack_factor: float,
+    seed: RngLike,
+) -> List[FillJob]:
     check_positive(duration_seconds, "duration_seconds")
     distribution = None
     if models is not None:
@@ -283,39 +342,42 @@ class ArrivalProcess:
 
     def __iter__(self) -> Iterator[FillJob]:
         gen = ensure_rng(self.seed)
-        distribution = self._distribution()
-        rate_per_second = self.arrival_rate_per_hour / 3_600.0
+        sample = self._distribution().sample
+        exponential = gen.exponential
+        random = gen.random
+        throughput_of = self._isolated_throughput
+        draw_gpu_seconds = self._draw_gpu_seconds
+        job_types = _job_types_by_model()
+        forced_type = self.job_type
+        end_time = self.end_time
+        deadline_fraction = self.deadline_fraction
+        slack_factor = self.deadline_slack_factor
+        tenant = self.name or None
+        scale = 1.0 / (self.arrival_rate_per_hour / 3_600.0)
         prefix = f"{self.name}/" if self.name else ""
         t = self.start_time
         index = 0
         while True:
-            t += float(gen.exponential(1.0 / rate_per_second))
-            if self.end_time is not None and t >= self.end_time:
+            t += float(exponential(scale))
+            if end_time is not None and t >= end_time:
                 return
-            model_name = distribution.sample(gen)
-            category = category_for_model(model_name)
-            if self.job_type is not None:
-                if self.job_type not in category.job_types():
+            model_name = sample(gen)
+            types = job_types[model_name]
+            if forced_type is not None:
+                if forced_type not in types:
                     continue  # the closed-loop path drops these too
-                job_type = self.job_type
+                job_type = forced_type
+            elif len(types) == 1:
+                job_type = types[0]
             else:
-                types = category.job_types()
-                job_type = (
-                    types[0]
-                    if len(types) == 1
-                    else (
-                        JobType.TRAINING
-                        if gen.random() < 0.5
-                        else JobType.BATCH_INFERENCE
-                    )
-                )
-            throughput = self._isolated_throughput(model_name, job_type)
-            gpu_seconds = self._draw_gpu_seconds(gen)
+                job_type = JobType.TRAINING if random() < 0.5 else JobType.BATCH_INFERENCE
+            throughput = throughput_of(model_name, job_type)
+            gpu_seconds = draw_gpu_seconds(gen)
             num_samples = max(1.0, gpu_seconds * throughput)
             deadline = None
-            if gen.random() < self.deadline_fraction:
+            if random() < deadline_fraction:
                 ideal = num_samples / throughput
-                deadline = t + self.deadline_slack_factor * ideal
+                deadline = t + slack_factor * ideal
             yield FillJob(
                 job_id=f"{prefix}open-{index}",
                 model_name=model_name,
@@ -323,7 +385,7 @@ class ArrivalProcess:
                 num_samples=num_samples,
                 arrival_time=t,
                 deadline=deadline,
-                tenant=self.name or None,
+                tenant=tenant,
             )
             index += 1
 

@@ -16,8 +16,10 @@ by nearest Table 1 model within each domain.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,27 +83,49 @@ class SyntheticModelHub:
 
 @dataclass(frozen=True)
 class ModelHubDistribution:
-    """Sampling probabilities over the Table 1 fill-job models."""
+    """Sampling probabilities over the Table 1 fill-job models.
+
+    Sampling is inverse-CDF over the names in sorted order.  The CDF is
+    built once, with the array operations ``Generator.choice`` applies to
+    ``p`` (normalise, ``cumsum``, divide by the last entry), and a draw
+    consumes the one double ``choice`` would, so :meth:`sample` returns the
+    same names and leaves the generator in the same state as
+    ``gen.choice(names, p=probs)``.  The derived ``names``/``cdf`` are not
+    part of equality or the repr.
+    """
 
     probabilities: Dict[str, float]
+    names: List[str] = field(init=False, repr=False, compare=False)
+    cdf: List[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        total = sum(self.probabilities.values())
+        values = list(self.probabilities.values())
+        if not all(math.isfinite(p) and p >= 0.0 for p in values):
+            raise ValueError(
+                f"probabilities must be finite and non-negative, got {self.probabilities}"
+            )
+        total = sum(values)
         if not np.isclose(total, 1.0, atol=1e-6):
             raise ValueError(f"probabilities must sum to 1, got {total}")
         unknown = set(self.probabilities) - set(FILL_JOB_CATEGORIES)
         if unknown:
             raise ValueError(f"unknown fill-job models: {sorted(unknown)}")
+        names = sorted(self.probabilities)
+        probs = np.array([self.probabilities[n] for n in names])
+        probs = probs / probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "cdf", cdf.tolist())
 
     def sample(self, rng: RngLike = None, size: Optional[int] = None):
         """Sample model name(s) according to the distribution."""
         gen = ensure_rng(rng)
-        names = sorted(self.probabilities)
-        probs = np.array([self.probabilities[n] for n in names])
-        probs = probs / probs.sum()
         if size is None:
-            return str(gen.choice(names, p=probs))
-        return [str(x) for x in gen.choice(names, p=probs, size=size)]
+            return self.names[bisect_right(self.cdf, gen.random())]
+        names = self.names
+        indices = np.searchsorted(self.cdf, gen.random(size), side="right")
+        return [names[i] for i in indices.tolist()]
 
     @classmethod
     def from_hub(cls, hub: Optional[SyntheticModelHub] = None) -> "ModelHubDistribution":
@@ -135,7 +159,31 @@ class ModelHubDistribution:
         return cls(probabilities=probs)
 
 
-#: The default fill-job model mix used by the experiments.
+#: ``default_distribution`` probabilities per integer seed: deriving them
+#: draws a 20,000-model synthetic hub, and every trace builder and every
+#: arrival-process iteration asks for them.  Cleared past the bound and by
+#: :func:`repro.core.executor.clear_shared_caches`.
+_DEFAULT_PROBABILITIES: Dict[int, Tuple[Tuple[str, float], ...]] = {}
+_MAX_DEFAULT_PROBABILITIES = 64
+
+
 def default_distribution(seed: RngLike = 0) -> ModelHubDistribution:
-    """The Table 1 sampling distribution derived from the synthetic hub."""
-    return ModelHubDistribution.from_hub(SyntheticModelHub(seed=seed))
+    """The Table 1 sampling distribution derived from the synthetic hub.
+
+    Integer seeds are memoised; every call returns a fresh instance.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        return ModelHubDistribution.from_hub(SyntheticModelHub(seed=seed))
+    items = _DEFAULT_PROBABILITIES.get(seed)
+    if items is None:
+        distribution = ModelHubDistribution.from_hub(SyntheticModelHub(seed=seed))
+        if len(_DEFAULT_PROBABILITIES) >= _MAX_DEFAULT_PROBABILITIES:
+            _DEFAULT_PROBABILITIES.clear()
+        _DEFAULT_PROBABILITIES[seed] = tuple(distribution.probabilities.items())
+        return distribution
+    return ModelHubDistribution(probabilities=dict(items))
+
+
+def clear_default_distributions() -> None:
+    """Drop the memoised default distributions."""
+    _DEFAULT_PROBABILITIES.clear()

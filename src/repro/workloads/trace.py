@@ -96,28 +96,39 @@ class TraceGenerator:
         """Generate all jobs arriving within ``[0, duration_seconds)``."""
         check_positive(duration_seconds, "duration_seconds")
         gen = ensure_rng(rng if rng is not None else self.seed)
+        exponential = gen.exponential
+        random = gen.random
+        standard_normal = gen.standard_normal
+        geometric = gen.geometric
+        # Loop-invariant operands, hoisted without changing any expression's
+        # evaluation order.  The numpy ufuncs stay: math.exp differs from
+        # np.exp in the last bit for some arguments.
+        mean_gap = 1.0 / (self.arrival_rate_per_hour / 3_600.0)
+        two_pi = 2.0 * np.pi
+        amplitude = self.diurnal_amplitude
+        peak = 1.0 + amplitude
+        median = self.service_time_median
+        sigma = self.service_time_sigma
+        gpu_p = self.gpu_geometric_p
+        max_gpus = self.max_gpus
+        latency_sensitive_fraction = self.latency_sensitive_fraction
         jobs: List[TraceJob] = []
         t = 0.0
         index = 0
-        base_rate = self.arrival_rate_per_hour / 3_600.0
         while True:
             # Thinned non-homogeneous Poisson process with diurnal modulation.
-            t += gen.exponential(1.0 / base_rate)
+            t += exponential(mean_gap)
             if t >= duration_seconds:
                 break
-            phase = 2.0 * np.pi * (t % 86_400.0) / 86_400.0
-            accept_prob = (1.0 + self.diurnal_amplitude * np.sin(phase)) / (
-                1.0 + self.diurnal_amplitude
-            )
-            if gen.random() > accept_prob:
+            phase = two_pi * (t % 86_400.0) / 86_400.0
+            accept_prob = (1.0 + amplitude * np.sin(phase)) / peak
+            if random() > accept_prob:
                 continue
-            service = float(
-                self.service_time_median * np.exp(self.service_time_sigma * gen.standard_normal())
-            )
-            num_gpus = int(min(self.max_gpus, 1 + gen.geometric(self.gpu_geometric_p) - 1))
+            service = float(median * np.exp(sigma * standard_normal()))
+            num_gpus = int(min(max_gpus, geometric(gpu_p)))
             qos = (
                 QosClass.LATENCY_SENSITIVE
-                if gen.random() < self.latency_sensitive_fraction
+                if random() < latency_sensitive_fraction
                 else QosClass.BEST_EFFORT
             )
             jobs.append(

@@ -8,6 +8,7 @@ fast and deterministic; the scenario/CLI integration tests live in
 
 from __future__ import annotations
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -474,3 +475,36 @@ class TestMultiTenantSimulator:
         jobs = [make_job("same"), ]
         with pytest.raises(ValueError, match="unique"):
             MultiTenantSimulator(self.make_tenants(jobs, jobs)).run()
+
+
+class TestIdleDeadlineCheckNeedsPreemption:
+    """The idle-executor deadline check only feeds a preemption attempt, so
+    a run without a preemption rule must not pay for it."""
+
+    SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "deadline_rush.yaml"
+
+    def run_counting(self, monkeypatch, preemption):
+        from repro.api import Experiment
+
+        calls = []
+        original = GlobalScheduler.idle_can_meet_deadline
+
+        def counting(self, job_id, now):
+            calls.append(job_id)
+            return original(self, job_id, now)
+
+        monkeypatch.setattr(GlobalScheduler, "idle_can_meet_deadline", counting)
+        experiment = Experiment.from_yaml(self.SCENARIO).with_preemption(preemption)
+        return experiment.run().digest(), len(calls)
+
+    def test_no_idle_checks_without_preemption(self, monkeypatch):
+        # The deadline_rush backlog with the sweep's ``preemption: null``
+        # point; the digest was recorded while every deadline arrival still
+        # ran the idle check (121 calls), so skipping it changes nothing.
+        digest, calls = self.run_counting(monkeypatch, None)
+        assert digest == "eb525d37b92345bb"
+        assert calls == 0
+
+    def test_idle_checks_still_run_with_preemption(self, monkeypatch):
+        _, calls = self.run_counting(monkeypatch, "deadline")
+        assert calls > 0

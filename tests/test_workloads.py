@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.executor import clear_shared_caches
 from repro.models.configs import JobType
 from repro.utils.rng import ensure_rng
 from repro.workloads.fill_jobs import (
@@ -12,6 +16,7 @@ from repro.workloads.fill_jobs import (
     actual_param_count,
     category_for_model,
 )
+from repro.workloads import generator, model_hub
 from repro.workloads.generator import FillJobTraceBuilder, build_fill_job_trace
 from repro.workloads.model_hub import (
     CNN_FRACTION,
@@ -102,6 +107,102 @@ class TestModelHubDistribution:
             ModelHubDistribution({"bert-base": 0.5})
         with pytest.raises(ValueError):
             ModelHubDistribution({"unknown-model": 1.0})
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_probability_rejected(self, bad):
+        # The sum alone passes for -0.5; Generator.choice refused these at
+        # sampling time, the distribution refuses them at construction.
+        with pytest.raises(ValueError):
+            ModelHubDistribution({"bert-base": 1.0 - bad, "efficientnet": bad})
+
+    def test_derived_cdf_is_not_part_of_equality_or_repr(self):
+        a = ModelHubDistribution({"bert-base": 0.25, "efficientnet": 0.75})
+        b = ModelHubDistribution({"efficientnet": 0.75, "bert-base": 0.25})
+        assert a == b
+        assert "cdf" not in repr(a) and "names" not in repr(a)
+
+
+def _choice_oracle(dist, gen, size=None):
+    """Sampling through ``Generator.choice`` itself, the independent oracle."""
+    names = sorted(dist.probabilities)
+    probs = np.array([dist.probabilities[n] for n in names])
+    probs = probs / probs.sum()
+    if size is None:
+        return str(gen.choice(names, p=probs))
+    return [str(x) for x in gen.choice(names, p=probs, size=size)]
+
+
+@st.composite
+def _probability_dicts(draw):
+    """Table 1 subsets with zero entries allowed and sums within 1e-6 of 1."""
+    names = draw(
+        st.lists(st.sampled_from(sorted(FILL_JOB_CATEGORIES)), min_size=1, unique=True)
+    )
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
+            min_size=len(names), max_size=len(names),
+        ).filter(lambda ws: sum(ws) > 0.0)
+    )
+    scale = (1.0 + draw(st.floats(-9e-7, 9e-7))) / sum(weights)
+    return {name: w * scale for name, w in zip(names, weights)}
+
+
+class _FixedUniform(np.random.Generator):
+    """A generator whose uniform draws are all ``u``.
+
+    ``Generator.choice`` draws through ``self.random``, so the oracle sees
+    the same value: this pins both at exact CDF boundaries, which random
+    draws essentially never hit.
+    """
+
+    def __init__(self, u: float) -> None:
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+class TestSamplerMatchesGeneratorChoice:
+    @settings(max_examples=60, deadline=None)
+    @given(probabilities=_probability_dicts())
+    def test_draws_at_cdf_boundaries(self, probabilities):
+        dist = ModelHubDistribution(probabilities)
+        edges = {0.0, float(np.nextafter(1.0, 0.0))}
+        for c in dist.cdf:
+            edges.update((c, float(np.nextafter(c, 0.0)), float(np.nextafter(c, 1.0))))
+        for u in sorted(e for e in edges if 0.0 <= e < 1.0):
+            assert dist.sample(_FixedUniform(u)) == _choice_oracle(dist, _FixedUniform(u))
+            assert dist.sample(_FixedUniform(u), size=2) == _choice_oracle(
+                dist, _FixedUniform(u), size=2
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        probabilities=_probability_dicts(),
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.integers(1, 300),
+    )
+    def test_scalar_draws(self, probabilities, seed, draws):
+        dist = ModelHubDistribution(probabilities)
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [dist.sample(ours) for _ in range(draws)]
+        want = [_choice_oracle(dist, oracle) for _ in range(draws)]
+        assert got == want
+        assert ours.bit_generator.state == oracle.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        probabilities=_probability_dicts(),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 2_000),
+    )
+    def test_sized_draws(self, probabilities, seed, size):
+        dist = ModelHubDistribution(probabilities)
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert dist.sample(ours, size=size) == _choice_oracle(dist, oracle, size=size)
+        assert ours.bit_generator.state == oracle.bit_generator.state
 
 
 class TestTraceGenerator:
@@ -235,6 +336,85 @@ class TestBuildFillJobTrace:
     def test_invalid_duration(self):
         with pytest.raises(ValueError):
             build_fill_job_trace(0.0)
+
+
+class TestTraceMemo:
+    ARGS = dict(arrival_rate_per_hour=400.0, seed=4)
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_shared_caches()
+        yield
+        clear_shared_caches()
+
+    def test_hit_equals_a_fresh_build_but_is_a_new_list(self):
+        first = build_fill_job_trace(3_600.0, **self.ARGS)
+        hit = build_fill_job_trace(3_600.0, **self.ARGS)
+        assert len(generator._TRACE_MEMO) == 1
+        assert hit == first and hit is not first
+        clear_shared_caches()
+        assert hit == build_fill_job_trace(3_600.0, **self.ARGS)
+
+    def test_mutating_the_result_does_not_leak_into_the_memo(self):
+        first = build_fill_job_trace(3_600.0, **self.ARGS)
+        expected = list(first)
+        first.reverse()
+        first.append(first[0])
+        hit = build_fill_job_trace(3_600.0, **self.ARGS)
+        hit.clear()
+        assert build_fill_job_trace(3_600.0, **self.ARGS) == expected
+
+    def test_generator_seeds_bypass_the_memo(self):
+        a = build_fill_job_trace(3_600.0, seed=np.random.default_rng(4))
+        b = build_fill_job_trace(3_600.0, seed=np.random.default_rng(4))
+        assert a == b
+        assert not generator._TRACE_MEMO
+
+    def test_forced_job_type_is_part_of_the_key(self):
+        mixed = build_fill_job_trace(3_600.0, models=["bert-base"], seed=0)
+        forced = build_fill_job_trace(
+            3_600.0, models=["bert-base"], job_type=JobType.BATCH_INFERENCE, seed=0
+        )
+        assert {j.job_type for j in mixed} == {JobType.TRAINING, JobType.BATCH_INFERENCE}
+        assert {j.job_type for j in forced} == {JobType.BATCH_INFERENCE}
+
+    def test_clear_shared_caches_empties_both_memos(self):
+        build_fill_job_trace(3_600.0, **self.ARGS)
+        default_distribution(11)
+        assert generator._TRACE_MEMO and model_hub._DEFAULT_PROBABILITIES
+        clear_shared_caches()
+        assert not generator._TRACE_MEMO
+        assert not model_hub._DEFAULT_PROBABILITIES
+
+    def test_flush_past_the_bound_recomputes_an_equal_trace(self, monkeypatch):
+        first = build_fill_job_trace(3_600.0, **self.ARGS)
+        monkeypatch.setattr(generator, "_MAX_TRACE_MEMO_JOBS", len(first) + 2)
+        build_fill_job_trace(3_600.0, arrival_rate_per_hour=60.0, seed=4)
+        key_of_first = [k for k in generator._TRACE_MEMO if k[1] == 400.0]
+        assert not key_of_first  # the second trace flushed the first
+        assert build_fill_job_trace(3_600.0, **self.ARGS) == first
+
+    def test_traces_over_the_bound_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(generator, "_MAX_TRACE_MEMO_JOBS", 5)
+        assert len(build_fill_job_trace(3_600.0, **self.ARGS)) > 5
+        assert not generator._TRACE_MEMO
+
+    def test_default_distribution_memo_returns_fresh_equal_instances(self, monkeypatch):
+        hubs = []
+        derive = ModelHubDistribution.from_hub
+
+        def counting(hub=None):
+            hubs.append(hub.seed)
+            return derive(hub)
+
+        monkeypatch.setattr(ModelHubDistribution, "from_hub", staticmethod(counting))
+        a = default_distribution(11)
+        b = default_distribution(11)
+        assert hubs == [11]  # one synthetic hub per seed
+        assert a == b and a is not b
+        assert a.probabilities is not b.probabilities
+        a.probabilities.clear()
+        assert default_distribution(11) == b
 
 
 class TestArrivalProcess:
